@@ -215,8 +215,11 @@ class Fx:
         return self._raw * (2.0 ** -fb)
 
     def __int__(self) -> int:
-        frac = self.as_fraction()
-        return int(frac) if frac >= 0 else -int(-frac)
+        # Truncate toward zero, straight from the raw integer.
+        raw, fb = self._raw, self._fmt.frac_bits
+        if fb <= 0:
+            return raw << -fb
+        return raw >> fb if raw >= 0 else -((-raw) >> fb)
 
     def __index__(self) -> int:
         if not self._fmt.is_integer():

@@ -51,8 +51,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import CodegenError
-from ..fixpt import FxFormat, Overflow, Rounding
-from ..fixpt.fixed import FxOverflowError
+# quantize_raw_at lives in fixpt (the one integer quantizer); re-exported
+# here so the IR and every back-end keep importing it from repro.ir.
+from ..fixpt import quantize_raw, quantize_raw_at
 
 #: Opcodes whose result lives in the float/interpreter domain markers.
 FLOAT_OPS = frozenset({"fconst", "tofloat"})
@@ -133,36 +134,6 @@ def sign_fold(raw: int, wl: int, signed: bool) -> int:
     return raw
 
 
-def quantize_raw_at(raw: int, frac: int, fmt: FxFormat) -> int:
-    """Quantize a raw integer at binary point *frac* into *fmt*.
-
-    This is the single arithmetic definition every back-end renders:
-    shift to the target binary point (rounding per the format), then
-    apply the overflow policy.  Raises :class:`FxOverflowError` for
-    ``Overflow.ERROR`` formats when the value does not fit.
-    """
-    shift = frac - fmt.frac_bits
-    if shift < 0:
-        value = raw << -shift
-    elif shift == 0:
-        value = raw
-    elif fmt.rounding is Rounding.ROUND:
-        value = (raw + (1 << (shift - 1))) >> shift
-    else:
-        value = raw >> shift
-    lo, hi = fmt.raw_min, fmt.raw_max
-    if fmt.overflow is Overflow.SATURATE:
-        return min(max(value, lo), hi)
-    if fmt.overflow is Overflow.WRAP:
-        return sign_fold(value, fmt.wl, fmt.signed)
-    if not lo <= value <= hi:
-        raise FxOverflowError(
-            f"overflow quantizing raw {raw} (frac {frac}) into {fmt}: "
-            f"{value} not in [{lo}, {hi}]"
-        )
-    return value
-
-
 def execute(block: IRBlock,
             read: Callable[[object], object],
             override: Optional[Callable[[int, object], object]] = None
@@ -237,8 +208,6 @@ def execute(block: IRBlock,
             fmt = op.attrs[0]
             src = block.ops[op.args[0]]
             if src.frac is None:
-                from ..fixpt import quantize_raw
-
                 result = quantize_raw(a[0], fmt)
             else:
                 result = quantize_raw_at(a[0], src.frac, fmt)

@@ -13,8 +13,8 @@ byte-identical to the scalar back-end's.
 Vectorization rules (DESIGN.md §8):
 
 * fixed-point raws live in ``int64`` lane arrays; quantization is
-  masked two's-complement arithmetic (``_np.clip`` for saturation,
-  :func:`_fold_vec` for wrap) driven by the same
+  masked two's-complement arithmetic (``_np.minimum``/``_np.maximum``
+  for saturation, :func:`_fold_vec` for wrap) driven by the same
   :class:`~repro.fixpt.FxFormat` wordlength metadata the scalar
   emitter uses;
 * a structured :data:`~repro.sim.compiled.Guard` renders as a boolean
@@ -35,6 +35,7 @@ arrays.  Use the scalar engines for instrumented runs.
 
 from __future__ import annotations
 
+import math as _math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -42,6 +43,7 @@ import numpy as _np
 from ..core.errors import CodegenError, ReproError, SimulationError
 from ..core.system import Channel, System
 from ..fixpt import Fx, FxFormat, Overflow, Rounding, quantize_raw
+from ..fixpt.quantize import _FAST_LIMIT, _MIN_NORMAL
 from ..ir import IRBlock, PassManager
 from .compiled import (
     Guard,
@@ -65,13 +67,93 @@ def _fold_vec(values, wl: int):
     return _np.where(masked >= half, masked - (1 << wl), masked)
 
 
+#: Largest pin format the vector quantizer handles; wider raws overflow
+#: the engine's int64 lanes and take the per-lane exact path.
+_VEC_MAX_WL = 62
+#: Ints below this magnitude convert to float64 exactly.
+_EXACT_INT_LIMIT = float(1 << 53)
+
+
 def _quantize_float_vec(values, fmt: FxFormat):
-    """Exact per-lane quantization of float-domain *values* into *fmt*."""
+    """Per-lane :func:`~repro.fixpt.quantize_raw` of *values* into *fmt*.
+
+    The vector twin of the scalar exact fast path (DESIGN.md §5): lanes
+    are scaled by ``2**frac_bits`` in float64, floored, rounded up when
+    the dropped fraction is at least one half, then folded by the
+    overflow policy.  A lane outside the exact domain — NaN/±inf, a
+    scaled magnitude of ``2**52`` or more, an int of ``2**53`` or more
+    (float64 would round it), a scaled value lost to underflow, or an
+    ``Overflow.ERROR`` lane out of range — is quantized on its own by
+    ``quantize_raw``, which also raises exactly what the scalar engine
+    raises.  Non-numeric arrays (``Fx``/``Fraction`` lanes) and formats
+    wider than the int64 lanes take that per-lane path wholesale.
+    Numeric numpy scalars inside a lane list convert like an ndarray's
+    elements do.
+    """
     arr = _np.asarray(values)
     if arr.ndim == 0:
         return _np.int64(quantize_raw(arr.item(), fmt))
-    return _np.array([quantize_raw(v.item(), fmt) for v in arr],
-                     dtype=_np.int64)
+    kind = arr.dtype.kind
+    fb = fmt.frac_bits
+    # The fast path needs numeric lanes, raws that fit int64 and a
+    # normal float 2.0**fb.
+    if kind not in "fiub" or fmt.wl > _VEC_MAX_WL \
+            or not -1022 <= fb <= 1023:
+        raw = _np.empty(len(arr), dtype=_np.int64)
+        _quantize_lanes_exact(raw, values, arr, range(len(arr)), fmt)
+        return raw
+    x = arr.astype(_np.float64, copy=False)
+    try:
+        # |x| < _FAST_LIMIT / 2**fb is |scaled| < _FAST_LIMIT, checked
+        # before scaling.
+        limit = _math.ldexp(_FAST_LIMIT, -fb)
+    except OverflowError:
+        limit = _math.inf
+    if kind != "f" or not isinstance(values, _np.ndarray):
+        # The lane may be an int that float64 rounded (a list mixing
+        # ints and floats converts to float64).
+        limit = min(limit, _EXACT_INT_LIMIT)
+    ok = _np.abs(x) < limit
+    fast = bool(ok.all())
+    # Scaling by a power of two is exact; masked lanes cannot overflow.
+    scaled = (x if fast else _np.where(ok, x, 0.0)) * (2.0 ** fb)
+    if fb < 0:
+        kept = (_np.abs(scaled) >= _MIN_NORMAL) | (x == 0.0)
+        if not kept.all():
+            ok &= kept
+            fast = False
+    floor = _np.floor(scaled)
+    if fmt.rounding is Rounding.ROUND:
+        floor += (scaled - floor) >= 0.5
+    raw = floor.astype(_np.int64)
+    lo, hi = fmt.raw_min, fmt.raw_max
+    if fmt.overflow is Overflow.SATURATE:
+        raw = _np.minimum(_np.maximum(raw, lo), hi)
+    elif fmt.overflow is Overflow.WRAP:
+        raw = _fold_vec(raw, fmt.wl) if fmt.signed \
+            else raw & ((1 << fmt.wl) - 1)
+    else:
+        inside = (raw >= lo) & (raw <= hi)
+        if not inside.all():
+            ok &= inside
+            fast = False
+    if not fast:
+        _quantize_lanes_exact(raw, values, arr, _np.flatnonzero(~ok), fmt)
+    return raw
+
+
+def _quantize_lanes_exact(raw, values, arr, lanes, fmt: FxFormat) -> None:
+    """Quantize the given *lanes* of *values* one by one into *raw*.
+
+    Reads the caller's own lane values (never the float64 array, which
+    may have rounded a large int), converting numpy scalars to Python.
+    """
+    source = values if isinstance(values, (list, tuple)) else arr
+    for lane in lanes:
+        value = source[lane]
+        if isinstance(value, _np.generic):
+            value = value.item()
+        raw[lane] = quantize_raw(value, fmt)
 
 
 def gen_quantize_vec(code: str, frac: Optional[int], fmt: FxFormat) -> str:
@@ -88,7 +170,8 @@ def gen_quantize_vec(code: str, frac: Optional[int], fmt: FxFormat) -> str:
     else:
         body = f"(({code}) >> {shift})"
     if fmt.overflow is Overflow.SATURATE:
-        return f"_np.clip({body}, {fmt.raw_min}, {fmt.raw_max})"
+        return (f"_np.minimum(_np.maximum({body}, {fmt.raw_min}), "
+                f"{fmt.raw_max})")
     if fmt.overflow is Overflow.WRAP:
         if fmt.signed:
             return f"_fold_vec({body}, {fmt.wl})"
@@ -255,24 +338,26 @@ class BatchedCompiledSimulator:
         lanes = self.lanes
         converted: Dict[str, object] = {}
         for name, value in pins.items():
-            if isinstance(value, _np.ndarray):
-                vals = value.tolist()
-            elif isinstance(value, (list, tuple)):
-                vals = list(value)
-            else:
-                vals = [value] * lanes
-            if len(vals) != lanes:
-                raise SimulationError(
-                    f"pin {name!r}: got {len(vals)} values for "
-                    f"{lanes} lanes"
-                )
             fmt = self._pin_fmts.get(name)
-            if fmt is None:
-                converted[name] = _np.asarray(vals)
+            if isinstance(value, (list, tuple, _np.ndarray)):
+                if len(value) != lanes:
+                    raise SimulationError(
+                        f"pin {name!r}: got {len(value)} values for "
+                        f"{lanes} lanes"
+                    )
+                if fmt is not None:
+                    converted[name] = _quantize_float_vec(value, fmt)
+                elif isinstance(value, _np.ndarray):
+                    # Widen to int64/float64 lanes, as the scalar
+                    # engine computes with Python numbers.
+                    converted[name] = _np.asarray(value.tolist())
+                else:
+                    converted[name] = _np.asarray(value)
+            elif fmt is None:
+                converted[name] = _np.asarray([value] * lanes)
             else:
-                converted[name] = _np.array(
-                    [quantize_raw(v, fmt) for v in vals], dtype=_np.int64
-                )
+                converted[name] = _np.full(
+                    lanes, quantize_raw(value, fmt), dtype=_np.int64)
         return converted
 
     # -- code generation -----------------------------------------------------------

@@ -50,7 +50,7 @@ class OverflowWitness:
 
 
 def _shifted(raw: int, frac: int, fmt: FxFormat) -> int:
-    """The pre-policy shift of :func:`repro.ir.ops.quantize_raw_at`."""
+    """The pre-policy shift of :func:`repro.fixpt.quantize_raw_at`."""
     shift = frac - fmt.frac_bits
     if shift < 0:
         return raw << -shift
